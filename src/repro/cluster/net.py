@@ -14,49 +14,19 @@ Wire format (little endian is never used — lengths are network order):
     body     := header_json | 0x0A | payload?
     payload  := ``numpy.save`` bytes (dtype + shape + C-order data)
 
-Request headers:
+Request headers carry the request ``id``, an ``op`` (absent = ``infer``)
+and that op's fields; :data:`WIRE_OPS` below is the one list of ops —
+name, accepted header fields, reply key, whether it touches workers —
+that the server dispatches from, :class:`ClusterClient` builds its
+requests from and the README op table mirrors. Two ops carry a payload:
 
     {"id": 7, "model": "lenet"}       + npy payload  -> inference
-    {"id": 8, "op": "metrics"}        (no payload)   -> cluster summary
-    {"id": 9, "op": "ping"}           (no payload)   -> liveness probe
     {"id": 10, "op": "generate", "model": "gpt_nano",
      "max_new_tokens": 16, "eos_token": null,
      "sampling": {"temperature": 0.8, "top_k": 40,
                   "top_p": 0.95, "seed": 7}}
                                       + npy prompt   -> token stream
-    {"id": 11, "op": "stats"}         (no payload)   -> per-shard windows +
-                                                       profiler/telemetry +
-                                                       router calibration /
-                                                       outstanding / inflight
-    {"id": 12, "op": "trace", "trace": "<hex id>"}   -> recorded spans
-    {"id": 13, "op": "obs", "tracing": true,
-     "profiling": true, "flight": true,
-     "sampler": true, "sampler_rate": 50.0}          -> toggle tracing /
-                                                       worker profiling /
-                                                       flight recording /
-                                                       wall-clock sampling
-    {"id": 14, "op": "slo"}           (no payload)   -> objectives evaluated
-                                                       cluster-wide (burn
-                                                       rates per window)
-    {"id": 15, "op": "health"}        (no payload)   -> liveness + alerting
-                                                       verdict + drift block
-                                                       with the repricing
-                                                       loop's pricing state
-    {"id": 16, "op": "flight"}        (no payload)   -> retained tail-sample
-                                                       entries; with
-                                                       "trace"/"worst": one
-                                                       Chrome-trace document
-    {"id": 17, "op": "scrape"}        (no payload)   -> Prometheus text
-                                                       exposition of the
-                                                       merged registry
-    {"id": 18, "op": "profile", "reset": false}      -> cluster-merged
-                                                       wall-clock profile
-                                                       (folded stacks +
-                                                       collapsed text)
-    {"id": 19, "op": "drift"}         (no payload)   -> cost-model drift
-                                                       report (per-layer
-                                                       calibration + band
-                                                       alerts)
+    {"id": 9, "op": "ping"}           (no payload)   -> every other op
 
 The optional ``sampling`` field is ``SamplingConfig.to_dict()`` — omit
 it (or send null) for greedy decode. Because the sampling RNG is
@@ -100,6 +70,7 @@ import socket
 import struct
 import threading
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -112,6 +83,7 @@ __all__ = [
     "ProtocolError",
     "encode_frame",
     "decode_frame",
+    "WIRE_OPS",
     "ClusterTCPServer",
     "ClusterClient",
 ]
@@ -211,6 +183,138 @@ async def _read_frame(reader):
 
 
 # ----------------------------------------------------------------------
+# The wire ops
+# ----------------------------------------------------------------------
+
+def _op_flight(cluster, header):
+    """Flight-recorder readout: one entry's Chrome-trace document when a
+    ``trace`` id or ``worst`` is given, the retained listing otherwise."""
+    flight = cluster.flight
+    if header.get("trace") or header.get("worst"):
+        return flight.chrome(header.get("trace"),
+                             worst=bool(header.get("worst")))
+    return {"enabled": flight.enabled,
+            "counts": dict(flight.counts),
+            "entries": flight.entries(reason=header.get("reason"),
+                                      window_s=header.get("window_s"))}
+
+
+def _op_obs(cluster, header):
+    """Apply the observability toggles the header names; reply with the
+    resulting state (``profiling``/``sampler`` are worker ack counts — a
+    dead shard cannot acknowledge, a respawned one comes back off)."""
+    if "tracing" in header:
+        # Front-end process-global switch: traced *requests* work
+        # without it (their ctx force-enables per hop), but always-on
+        # span collection wants it.
+        (TRACE.enable if header["tracing"] else TRACE.disable)()
+    acked = None
+    if "profiling" in header:
+        acked = cluster.set_profiling(bool(header["profiling"]))
+    if "flight" in header:
+        # Tail-sampled flight recording of untraced generate requests
+        # (traced ones already belong to a caller).
+        cluster.flight.enabled = bool(header["flight"])
+    sampled = None
+    if "sampler" in header or "sampler_rate" in header:
+        enabled = (None if "sampler" not in header
+                   else bool(header["sampler"]))
+        rate = (None if header.get("sampler_rate") is None
+                else float(header["sampler_rate"]))
+        sampled = cluster.set_sampling(enabled, rate)
+    return {"tracing": TRACE.enabled, "profiling": acked,
+            "flight": cluster.flight.enabled, "sampler": sampled}
+
+
+def _op_profile(cluster, header):
+    """The merged profile with its standard renderings, so a client
+    needs no repro import to feed flamegraph.pl or a pprof consumer."""
+    merged = cluster.profile(bool(header.get("reset")))
+    reply = {"profile": merged, "collapsed": render_collapsed(merged)}
+    if header.get("pprof"):
+        reply["pprof"] = to_pprof(merged)
+    return reply
+
+
+WireOp = namedtuple("WireOp", "name handler blocking fields reply doc")
+
+#: Every op the wire speaks, one row each — the server dispatches from
+#: it, :meth:`ClusterClient._call` builds requests from it and the
+#: README op table mirrors it (``tests/test_api_hygiene.py`` holds the
+#: three together). Columns:
+#:
+#: - ``handler(cluster, header)`` computes the reply value; ``None`` for
+#:   the two payload ops, whose bodies live in :class:`ClusterTCPServer`.
+#: - ``blocking``: the handler waits on worker pipes, so the server runs
+#:   it in the default executor, never on the event loop.
+#: - ``fields``: accepted header fields and the type
+#:   :meth:`ClusterClient._call` coerces a value to before sending it
+#:   (the payload ops build their own headers; their ``trace`` may also
+#:   be a ``{trace, span}`` context object).
+#: - ``reply``: the reply-header key holding the handler's result;
+#:   ``None`` when the handler returns a dict of reply keys itself.
+#:
+#: Adding a wire op is one row here, one :class:`ClusterClient` method
+#: that returns ``self._call("<op>", ...)`` and one row in the README
+#: table; nothing else names ops.
+WIRE_OPS = {row.name: row for row in (
+    WireOp("infer", None, True, {"model": str, "trace": str}, None,
+           "run the npy payload through `model`; the reply carries the "
+           "npy result"),
+    WireOp("generate", None, True,
+           {"model": str, "max_new_tokens": int, "eos_token": int,
+            "sampling": dict, "trace": str}, None,
+           "stream tokens for the npy prompt: one frame per token, then "
+           "a `done` frame with `tokens` (and `telemetry`)"),
+    WireOp("ping", lambda cluster, header: {}, False, {}, None,
+           "liveness probe"),
+    WireOp("metrics", lambda cluster, header: cluster.summary(), False,
+           {}, "summary", "per-model and per-shard serving summary"),
+    WireOp("stats", lambda cluster, header: cluster.stats(), True, {},
+           "stats",
+           "per-shard windows, merged profiler rows, token telemetry, "
+           "merged metrics snapshot, router calibration / outstanding / "
+           "inflight"),
+    WireOp("trace",
+           lambda cluster, header: cluster.trace_spans(header.get("trace")),
+           True, {"trace": str}, "spans",
+           "recorded spans stitched across front-end and workers (one "
+           "trace id, or all)"),
+    WireOp("obs", _op_obs, True,
+           {"tracing": bool, "profiling": bool, "flight": bool,
+            "sampler": bool, "sampler_rate": float}, "obs",
+           "toggle front-end tracing, worker step profiling, the flight "
+           "recorder, the wall-clock samplers (on/off, rate in Hz)"),
+    WireOp("slo", lambda cluster, header: cluster.slo(), True, {}, "slo",
+           "declared objectives evaluated cluster-wide, burn rate per "
+           "window"),
+    WireOp("health", lambda cluster, header: cluster.health(), True, {},
+           "health",
+           "liveness, alerting objectives, flight occupancy, advisory "
+           "drift block with the repricing loop's state"),
+    WireOp("flight", _op_flight, False,
+           {"trace": str, "worst": bool, "reason": str, "window_s": float},
+           "flight",
+           "retained tail-sample entries; with `trace` or `worst`, one "
+           "Chrome-trace document"),
+    WireOp("scrape",
+           lambda cluster, header: render_text(cluster.metrics_snapshot()),
+           True, {}, "text",
+           "Prometheus text exposition of the merged registry"),
+    WireOp("profile", _op_profile, True, {"reset": bool, "pprof": bool},
+           None,
+           "cluster-merged wall-clock profile: `profile`, `collapsed` "
+           "text and, on request, `pprof`"),
+    WireOp("drift", lambda cluster, header: cluster.drift(), True, {},
+           "drift",
+           "cost-model drift report: per-layer calibration and band "
+           "alerts"),
+)}
+_INFER = WIRE_OPS["infer"]
+_GENERATE = WIRE_OPS["generate"]
+
+
+# ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
 
@@ -298,93 +402,19 @@ class ClusterTCPServer:
         request_id = header.get("id")
         reply = {"id": request_id, "ok": True}
         payload = None
-        loop = asyncio.get_running_loop()
         op = header.get("op", "infer")
-        _TCP_REQUESTS.labels(op=op).inc()
+        # A peer-chosen string must never become a label value (series
+        # are permanent), and a non-string op cannot even be looked up.
+        row = WIRE_OPS.get(op) if isinstance(op, str) else None
+        label = "unknown" if row is None else row.name
+        _TCP_REQUESTS.labels(op=label).inc()
+        if row is _GENERATE:
+            await self._serve_generate(writer, write_lock, header, array)
+            return
         try:
-            if op == "ping":
-                pass
-            elif op == "metrics":
-                reply["summary"] = self.cluster.summary()
-            elif op == "stats":
-                # Blocking worker RPCs behind the shard pipe locks — off
-                # the loop, like inference itself.
-                reply["stats"] = await loop.run_in_executor(
-                    None, self.cluster.stats)
-            elif op == "trace":
-                reply["spans"] = await loop.run_in_executor(
-                    None, self.cluster.trace_spans, header.get("trace"))
-            elif op == "slo":
-                # Ticks the front-end monitor and every worker's, then
-                # evaluates burn rates over the merged rings.
-                reply["slo"] = await loop.run_in_executor(
-                    None, self.cluster.slo)
-            elif op == "health":
-                reply["health"] = await loop.run_in_executor(
-                    None, self.cluster.health)
-            elif op == "scrape":
-                reply["text"] = render_text(await loop.run_in_executor(
-                    None, self.cluster.metrics_snapshot))
-            elif op == "profile":
-                # Worker snapshot fetches are blocking pipe RPCs — off
-                # the loop. The merged document ships with its two
-                # standard renderings so a client needs no repro import
-                # to feed flamegraph.pl or a pprof consumer.
-                merged = await loop.run_in_executor(
-                    None, self.cluster.profile, bool(header.get("reset")))
-                reply["profile"] = merged
-                reply["collapsed"] = render_collapsed(merged)
-                if header.get("pprof"):
-                    reply["pprof"] = to_pprof(merged)
-            elif op == "drift":
-                reply["drift"] = await loop.run_in_executor(
-                    None, self.cluster.drift)
-            elif op == "flight":
-                flight = self.cluster.flight
-                if header.get("trace") or header.get("worst"):
-                    reply["flight"] = flight.chrome(
-                        header.get("trace"),
-                        worst=bool(header.get("worst")))
-                else:
-                    reply["flight"] = {
-                        "enabled": flight.enabled,
-                        "counts": dict(flight.counts),
-                        "entries": flight.entries(
-                            reason=header.get("reason"),
-                            window_s=header.get("window_s")),
-                    }
-            elif op == "obs":
-                if "tracing" in header:
-                    # Front-end process-global switch: traced *requests*
-                    # work without it (their ctx force-enables per hop),
-                    # but always-on span collection wants it.
-                    (TRACE.enable if header["tracing"] else TRACE.disable)()
-                acked = None
-                if "profiling" in header:
-                    # How many workers acknowledged the toggle (a dead
-                    # shard cannot, a respawned one comes back off).
-                    acked = await loop.run_in_executor(
-                        None, self.cluster.set_profiling,
-                        bool(header["profiling"]))
-                if "flight" in header:
-                    # Tail-sampled flight recording of untraced generate
-                    # requests (traced ones already belong to a caller).
-                    self.cluster.flight.enabled = bool(header["flight"])
-                sampled = None
-                if "sampler" in header or "sampler_rate" in header:
-                    # Wall-clock sampler reconfiguration fans out over
-                    # the worker pipes — off the loop like profiling.
-                    enabled = (None if "sampler" not in header
-                               else bool(header["sampler"]))
-                    rate = (None if header.get("sampler_rate") is None
-                            else float(header["sampler_rate"]))
-                    sampled = await loop.run_in_executor(
-                        None, self.cluster.set_sampling, enabled, rate)
-                reply["obs"] = {"tracing": TRACE.enabled,
-                                "profiling": acked,
-                                "flight": self.cluster.flight.enabled,
-                                "sampler": sampled}
-            elif op == "infer":
+            if row is None:
+                raise ProtocolError("unknown op %r" % (op,))
+            if row is _INFER:
                 if array is None:
                     raise ProtocolError("inference request carries no array")
                 ctx = _trace_ctx(header)
@@ -409,13 +439,18 @@ class ClusterTCPServer:
                     # too: each roots its own fresh trace.
                     TRACE.record_span("tcp.infer", t0, time.monotonic(),
                                       cat="net", model=header.get("model"))
-            elif op == "generate":
-                await self._serve_generate(writer, write_lock, header, array)
-                return
             else:
-                raise ProtocolError("unknown op %r" % (op,))
+                if row.blocking:
+                    result = await asyncio.get_running_loop().run_in_executor(
+                        None, row.handler, self.cluster, header)
+                else:
+                    result = row.handler(self.cluster, header)
+                if row.reply is None:
+                    reply.update(result)
+                else:
+                    reply[row.reply] = result
         except Exception as exc:  # noqa: BLE001 - reported to the peer
-            _TCP_ERRORS.labels(op=op).inc()
+            _TCP_ERRORS.labels(op=label).inc()
             reply = {"id": request_id, "ok": False,
                      "error": "%s: %s" % (type(exc).__name__, exc)}
             payload = None
@@ -515,7 +550,7 @@ class ClusterTCPServer:
                 await loop.run_in_executor(None, settle_flight)
             await self._respond(writer, write_lock, done_frame)
         except Exception as exc:  # noqa: BLE001 - reported to the peer
-            _TCP_ERRORS.labels(op="generate").inc()
+            _TCP_ERRORS.labels(op=_GENERATE.name).inc()
             if flight_ctx is not None:
                 fctx, err = flight_ctx, str(exc)
                 await loop.run_in_executor(
@@ -722,93 +757,62 @@ class ClusterClient:
             raise RuntimeError("server error: %s"
                                % header.get("error", "unknown"))
 
-    # ------------------------------------------------------------------
-    def ping(self):
+    def _call(self, op, **fields):
+        """One header-only round trip of ``op`` (a :data:`WIRE_OPS` row).
+
+        Fields left at ``None`` are omitted, the rest coerced to the
+        row's declared types. Returns the reply value under the row's
+        reply key (the whole reply header when the row names none)."""
+        row = WIRE_OPS[op]
+        request = {"op": op}
+        for name, value in fields.items():
+            if value is not None:
+                request[name] = row.fields[name](value)
+
         def attempt():
-            rid = self._send({"op": "ping"})
+            rid = self._send(request)
             self._flush()
             header, _ = self._recv_matching({rid})
             self._check(header)
-            return True
+            return header if row.reply is None else header[row.reply]
         return self._with_retry(attempt)
+
+    # ------------------------------------------------------------------
+    def ping(self):
+        self._call("ping")
+        return True
 
     def metrics(self):
         """The cluster's :meth:`ClusterServer.summary` dict."""
-        def attempt():
-            rid = self._send({"op": "metrics"})
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return header["summary"]
-        return self._with_retry(attempt)
+        return self._call("metrics")
 
     def stats(self):
         """Cluster-wide observability snapshot (``op: stats``): per-shard
         windows plus merged profiler aggregates and token telemetry."""
-        def attempt():
-            rid = self._send({"op": "stats"})
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return header["stats"]
-        return self._with_retry(attempt)
+        return self._call("stats")
 
     def trace(self, trace_id=None):
         """Spans recorded across the cluster (optionally one trace id),
         as plain dicts ready for :func:`repro.obs.export.to_chrome_trace`."""
-        def attempt():
-            rid = self._send({"op": "trace", "trace": trace_id})
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return header["spans"]
-        return self._with_retry(attempt)
+        return self._call("trace", trace=trace_id)
 
     def set_obs(self, tracing=None, profiling=None, flight=None,
                 sampler=None, sampler_rate=None):
         """Toggle front-end tracing, worker per-step profiling, the
         tail-sampling flight recorder, and/or the continuous wall-clock
         sampler (``sampler`` on/off, ``sampler_rate`` in Hz)."""
-        request = {"op": "obs"}
-        if tracing is not None:
-            request["tracing"] = bool(tracing)
-        if profiling is not None:
-            request["profiling"] = bool(profiling)
-        if flight is not None:
-            request["flight"] = bool(flight)
-        if sampler is not None:
-            request["sampler"] = bool(sampler)
-        if sampler_rate is not None:
-            request["sampler_rate"] = float(sampler_rate)
-
-        def attempt():
-            rid = self._send(dict(request))
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return header.get("obs")
-        return self._with_retry(attempt)
+        return self._call("obs", tracing=tracing, profiling=profiling,
+                          flight=flight, sampler=sampler,
+                          sampler_rate=sampler_rate)
 
     def slo(self):
         """Cluster-wide SLO evaluation: declared objectives with
         per-window compliance and burn rates (``op: slo``)."""
-        def attempt():
-            rid = self._send({"op": "slo"})
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return header["slo"]
-        return self._with_retry(attempt)
+        return self._call("slo")
 
     def health(self):
         """One-look health verdict (``op: health``)."""
-        def attempt():
-            rid = self._send({"op": "health"})
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return header["health"]
-        return self._with_retry(attempt)
+        return self._call("health")
 
     def flight(self, trace=None, worst=False, reason=None, window_s=None):
         """Flight-recorder readout (``op: flight``).
@@ -817,23 +821,8 @@ class ClusterClient:
         (spanless rows + retention counts). With a trace id or
         ``worst=True``: one entry's Chrome-trace document (``None`` when
         nothing matches)."""
-        request = {"op": "flight"}
-        if trace is not None:
-            request["trace"] = trace
-        if worst:
-            request["worst"] = True
-        if reason is not None:
-            request["reason"] = reason
-        if window_s is not None:
-            request["window_s"] = float(window_s)
-
-        def attempt():
-            rid = self._send(dict(request))
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return header.get("flight")
-        return self._with_retry(attempt)
+        return self._call("flight", trace=trace, worst=worst or None,
+                          reason=reason, window_s=window_s)
 
     def profile(self, reset=False, pprof=False):
         """Cluster-merged continuous wall-clock profile (``op: profile``).
@@ -843,43 +832,21 @@ class ClusterClient:
         its flamegraph.pl-ready text rendering, and — with
         ``pprof=True`` — ``pprof`` a pprof-style JSON document.
         ``reset=True`` starts a fresh window in every sampler."""
-        request = {"op": "profile"}
-        if reset:
-            request["reset"] = True
-        if pprof:
-            request["pprof"] = True
-
-        def attempt():
-            rid = self._send(dict(request))
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return {key: header[key]
-                    for key in ("profile", "collapsed", "pprof")
-                    if key in header}
-        return self._with_retry(attempt)
+        header = self._call("profile", reset=reset or None,
+                            pprof=pprof or None)
+        return {key: header[key]
+                for key in ("profile", "collapsed", "pprof")
+                if key in header}
 
     def drift(self):
         """Cluster-merged cost-model drift report (``op: drift``):
         per-model calibration, per-layer EWMA ratios and band alerts."""
-        def attempt():
-            rid = self._send({"op": "drift"})
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return header["drift"]
-        return self._with_retry(attempt)
+        return self._call("drift")
 
     def scrape(self):
         """The merged cluster registry in Prometheus text exposition
         format (``op: scrape``)."""
-        def attempt():
-            rid = self._send({"op": "scrape"})
-            self._flush()
-            header, _ = self._recv_matching({rid})
-            self._check(header)
-            return header["text"]
-        return self._with_retry(attempt)
+        return self._call("scrape")
 
     def infer(self, model, x):
         """One request, one response."""

@@ -93,6 +93,10 @@ class GenerationError(RuntimeError):
     """A generation session failed (its shard crashed mid-stream)."""
 
 
+# Tokens a ``generate`` without ``max_new_tokens`` produces.
+DEFAULT_MAX_NEW_TOKENS = 16
+
+
 class ClusterConfig:
     """Tunables of one :class:`ClusterServer` deployment.
 
@@ -103,19 +107,16 @@ class ClusterConfig:
     """
 
     def __init__(self, workers=2, max_batch_size=32, max_wait_ms=2.0,
-                 max_pending=1024, precision="fp32", sim_config=None,
-                 autotune=False, autotune_interval=24, start_timeout=120.0,
-                 respawn=True, default_max_new_tokens=16, objectives=None,
-                 flight=False, flight_capacity=64, flight_sample=0.0,
-                 sampler=True, sampler_hz=None, reprice=True,
-                 reprice_interval_s=5.0, reprice_threshold=0.10,
-                 reprice_empty_clears=3, reprice_min_calls=3):
+                 max_pending=1024, precision="fp32", autotune=False,
+                 autotune_interval=24, start_timeout=120.0, respawn=True,
+                 objectives=None, flight=False, flight_capacity=64,
+                 sampler=True, reprice=True, reprice_interval_s=5.0,
+                 reprice_min_calls=3):
         self.workers = int(workers)
         self.max_batch_size = int(max_batch_size)
         self.max_wait_ms = float(max_wait_ms)
         self.max_pending = int(max_pending)
         self.precision = precision
-        self.sim_config = sim_config
         self.autotune = bool(autotune)
         self.autotune_interval = int(autotune_interval)
         self.start_timeout = float(start_timeout)
@@ -123,31 +124,26 @@ class ClusterConfig:
         # work still re-routes; the replacement rejoins the router once
         # it maps the plans). Disable for pure re-route semantics.
         self.respawn = bool(respawn)
-        self.default_max_new_tokens = int(default_max_new_tokens)
         # Declared SLOs evaluated by ``op: slo`` (None -> the stock
         # serving objectives); Objective instances or plain dicts.
         self.objectives = objectives
         # Tail-sampling flight recorder on the TCP generate path.
         self.flight = bool(flight)
         self.flight_capacity = int(flight_capacity)
-        self.flight_sample = float(flight_sample)
         # Continuous wall-clock sampling profiler: on by default in every
-        # process (front-end + workers); ``sampler_hz=None`` keeps each
-        # sampler's built-in default rate.
+        # process (front-end + workers) at each sampler's built-in rate;
+        # ``op: obs`` ``sampler_rate`` retunes it at runtime.
         self.sampler = bool(sampler)
-        self.sampler_hz = None if sampler_hz is None else float(sampler_hz)
         # Drift→pricing control loop: a front-end timer calls
         # ``apply_drift_pricing()`` every ``reprice_interval_s`` seconds,
         # gated by the :class:`~repro.obs.drift.RepricingPolicy`
-        # hysteresis — new factors install only on a sustained
-        # >``reprice_threshold`` fractional change, last-good factors
-        # survive until ``reprice_empty_clears`` consecutive empty drift
-        # reports, and a model needs ``reprice_min_calls`` measured layer
-        # calls before its calibration is trusted at all.
+        # hysteresis (its ``threshold`` / ``empty_clears`` defaults: new
+        # factors install only on a sustained fractional change, and
+        # last-good factors survive a few consecutive empty drift
+        # reports), and a model needs ``reprice_min_calls`` measured
+        # layer calls before its calibration is trusted at all.
         self.reprice = bool(reprice)
         self.reprice_interval_s = float(reprice_interval_s)
-        self.reprice_threshold = float(reprice_threshold)
-        self.reprice_empty_clears = int(reprice_empty_clears)
         self.reprice_min_calls = int(reprice_min_calls)
 
     def __repr__(self):
@@ -173,8 +169,7 @@ class Shard:
         self.process = ShardProcess(index, handles, gen_meta=gen_meta,
                                     start_timeout=config.start_timeout,
                                     objectives=objectives,
-                                    sampler={"enabled": config.sampler,
-                                             "rate_hz": config.sampler_hz})
+                                    sampler={"enabled": config.sampler})
         self.window = MetricsWindow()
         self.metrics = {}
         self.batchers = {}
@@ -404,9 +399,7 @@ class ClusterServer:
                            else [Objective.from_dict(o)
                                  for o in raw_objectives])
         self.slo_monitor = SLOMonitor(METRICS, objectives=self.objectives)
-        self.flight = FlightRecorder(
-            capacity=self.config.flight_capacity,
-            sample_rate=self.config.flight_sample)
+        self.flight = FlightRecorder(capacity=self.config.flight_capacity)
         self.flight.enabled = bool(self.config.flight)
         # The breach line the TCP generate path measures against: the
         # declared TTFT objective, when there is one.
@@ -421,7 +414,7 @@ class ClusterServer:
         # explicitly stops it (a prior cluster may have left it running).
         SAMPLER.label = "frontend"
         if self.config.sampler:
-            SAMPLER.start(self.config.sampler_hz)
+            SAMPLER.start()
         else:
             SAMPLER.stop()
         self.store = SharedPlanStore()
@@ -443,8 +436,7 @@ class ClusterServer:
                     sample_input=spec.sample_input, name=key)
                 self.plans[key] = plan
                 self.store.publish(key, plan)
-                self.predictors[key] = CyclePredictor(
-                    plan, self.config.sim_config)
+                self.predictors[key] = CyclePredictor(plan)
             self._handles = self.store.handles()
             self._plan_keys = list(self.plans)
             # Append as each shard comes up so a mid-construction failure
@@ -506,9 +498,7 @@ class ClusterServer:
         # a weakref so an abandoned cluster can still be collected; it
         # exits on the shutdown event, on a dead ref, or once admission
         # stops.
-        self._reprice_policy = RepricingPolicy(
-            threshold=self.config.reprice_threshold,
-            empty_clears=self.config.reprice_empty_clears)
+        self._reprice_policy = RepricingPolicy()
         self._m_calibration = METRICS.gauge(
             "repro_router_calibration",
             "Installed drift-corrected pricing factor per model "
@@ -566,8 +556,7 @@ class ClusterServer:
         self._gen_stats[key] = {"sessions": 0, "tokens": 0}
         # Sessions are priced at one decode step; the router only needs a
         # relative weight to balance generation against batch traffic.
-        self.predictors[key] = CyclePredictor(
-            gen_plan.decode, self.config.sim_config)
+        self.predictors[key] = CyclePredictor(gen_plan.decode)
 
     def _spawn_shard(self, index):
         return Shard(index, self._handles, self._plan_keys, self.config,
@@ -735,7 +724,7 @@ class ClusterServer:
                            % (key, sorted(self.gen_plans)))
         if not self._accepting:
             raise AdmissionError("cluster is shut down")
-        max_new = (self.config.default_max_new_tokens
+        max_new = (DEFAULT_MAX_NEW_TOKENS
                    if max_new_tokens is None else int(max_new_tokens))
         if max_new < 1:
             raise ValueError("max_new_tokens must be >= 1")
@@ -835,6 +824,34 @@ class ClusterServer:
                 key: dict(stats) for key, stats in self._gen_stats.items()}
         return summary
 
+    def _fanout(self, worker_op, *args):
+        """One obs/control RPC to every alive shard: ``{index: reply}``.
+
+        The only loop that issues such RPCs. A shard that is down, dies
+        mid-call or answers with an error is skipped — observability
+        must keep answering while the fleet is degraded — so callers
+        merge whatever came back.
+        """
+        replies = {}
+        for shard in self.shards:
+            if not shard.alive:
+                continue
+            try:
+                replies[shard.index] = shard.process.request(worker_op, *args)
+            except (ShardCrashed, RuntimeError):
+                continue
+        return replies
+
+    def _collect_stats(self):
+        """One ``stats`` fan-out, shared by :meth:`stats` and
+        :meth:`metrics_snapshot`: the worker replies by shard index and
+        the registry snapshot merged over front-end and workers."""
+        snaps = [METRICS.snapshot()]
+        workers = self._fanout("stats")
+        snaps.extend(worker["metrics"] for worker in workers.values()
+                     if worker.get("metrics"))
+        return workers, merge_snapshots(snaps)
+
     def stats(self):
         """Cluster-wide observability snapshot (the ``op: stats`` body).
 
@@ -846,32 +863,25 @@ class ClusterServer:
         weighted means of the shard percentiles — each shard's own row
         stays exact).
         """
-        rows = []
-        profiler_snaps = []
+        rows = [{"index": shard.index, "alive": shard.alive,
+                 "window": shard.window.snapshot()}
+                for shard in self.shards]
+        workers, metrics = self._collect_stats()
         telemetry = {}
-        metric_snaps = [METRICS.snapshot()]
-        for shard in self.shards:
-            row = {"index": shard.index, "alive": shard.alive,
-                   "window": shard.window.snapshot()}
-            if shard.alive:
-                try:
-                    worker = shard.process.request("stats")
-                except (ShardCrashed, RuntimeError):
-                    worker = None
-                if worker:
-                    row["worker"] = worker
-                    profiler_snaps.append(worker.get("profiler") or {})
-                    for key, snap in (worker.get("telemetry") or {}).items():
-                        telemetry.setdefault(key, []).append(snap)
-                    if worker.get("metrics"):
-                        metric_snaps.append(worker["metrics"])
-            rows.append(row)
+        for row in rows:
+            worker = workers.get(row["index"])
+            if worker:
+                row["worker"] = worker
+                for key, snap in (worker.get("telemetry") or {}).items():
+                    telemetry.setdefault(key, []).append(snap)
         return {
             "shards": rows,
-            "profiler": StepProfiler.merge(profiler_snaps),
+            "profiler": StepProfiler.merge(
+                [worker.get("profiler") or {}
+                 for worker in workers.values()]),
             "telemetry": {key: TokenTelemetry.merge(snaps)
                           for key, snaps in telemetry.items()},
-            "metrics": merge_snapshots(metric_snaps),
+            "metrics": metrics,
             "router": {
                 "calibration": self.router.calibration(),
                 "outstanding": {str(s.index):
@@ -887,17 +897,7 @@ class ClusterServer:
         own series merged with every alive worker's (worker series stay
         distinct through their ``shard`` constant label; front-end series
         carry none). This is the body ``op: scrape`` renders to text."""
-        snaps = [METRICS.snapshot()]
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            try:
-                worker = shard.process.request("stats")
-            except (ShardCrashed, RuntimeError):
-                continue
-            if worker and worker.get("metrics"):
-                snaps.append(worker["metrics"])
-        return merge_snapshots(snaps)
+        return self._collect_stats()[1]
 
     def slo(self):
         """Evaluate the declared objectives cluster-wide.
@@ -910,23 +910,14 @@ class ClusterServer:
         previous one into the current slot.
         """
         self.slo_monitor.tick()
-        snaps = [self.slo_monitor.snapshot()]
-        sources = 1
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            try:
-                snaps.append(shard.process.request("slo"))
-                sources += 1
-            except (ShardCrashed, RuntimeError):
-                continue
+        snaps = [self.slo_monitor.snapshot(), *self._fanout("slo").values()]
         merged = SLOMonitor.merge(snaps)
         return {
             "objectives": SLOMonitor.evaluate(merged),
             "window_s": merged["window_s"],
             "windows": merged["windows"],
             "alert_burn": merged["alert_burn"],
-            "sources": sources,
+            "sources": len(snaps),
         }
 
     def health(self):
@@ -994,29 +985,15 @@ class ClusterServer:
         :func:`repro.obs.export.to_chrome_trace` / ``span_tree``.
         """
         spans = [s.to_dict() for s in TRACE.spans(trace_id)]
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            try:
-                spans.extend(shard.process.request("trace", trace_id))
-            except (ShardCrashed, RuntimeError):
-                continue
+        for worker_spans in self._fanout("trace", trace_id).values():
+            spans.extend(worker_spans)
         spans.sort(key=lambda d: (d["ts_us"], d["span"]))
         return spans
 
     def set_profiling(self, enabled=True):
         """Toggle per-step profiling in every alive worker; returns how
         many acknowledged (a respawned worker comes back unprofiled)."""
-        done = 0
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            try:
-                shard.process.request("obs", bool(enabled))
-                done += 1
-            except (ShardCrashed, RuntimeError):
-                continue
-        return done
+        return len(self._fanout("obs", bool(enabled)))
 
     def set_sampling(self, enabled=None, rate_hz=None):
         """Reconfigure the wall-clock sampler everywhere — front-end and
@@ -1036,16 +1013,7 @@ class ClusterServer:
             sampler["rate_hz"] = float(rate_hz)
         configure_sampler(SAMPLER, enabled=sampler.get("enabled"),
                           rate_hz=sampler.get("rate_hz"))
-        done = 0
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            try:
-                shard.process.request("obs", None, sampler)
-                done += 1
-            except (ShardCrashed, RuntimeError):
-                continue
-        return done
+        return len(self._fanout("obs", None, sampler))
 
     def profile(self, reset=False):
         """Cluster-merged continuous profile (the ``op: profile`` body).
@@ -1059,15 +1027,9 @@ class ClusterServer:
         :func:`~repro.obs.contprof.diff_profiles`. ``reset=True`` clears
         every sampler after reading, making consecutive calls windowed.
         """
-        snaps = [SAMPLER.snapshot(reset=reset)]
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            try:
-                snaps.append(shard.process.request("profile", bool(reset)))
-            except (ShardCrashed, RuntimeError):
-                continue
-        return merge_profiles(snaps)
+        return merge_profiles(
+            [SAMPLER.snapshot(reset=reset),
+             *self._fanout("profile", bool(reset)).values()])
 
     def drift(self):
         """Cluster-merged cost-model drift report (the ``op: drift``
@@ -1075,15 +1037,7 @@ class ClusterServer:
         per-layer EWMA drift ratios and band alerts, with each shard's
         own calibrations preserved under ``shards`` so a single slow
         shard stays visible after the merge."""
-        snaps = []
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            try:
-                snaps.append(shard.process.request("drift"))
-            except (ShardCrashed, RuntimeError):
-                continue
-        return DriftDetector.merge(snaps)
+        return DriftDetector.merge(self._fanout("drift").values())
 
     def apply_drift_pricing(self, force=False):
         """One drift→pricing control cycle; returns the active factors.
@@ -1097,9 +1051,9 @@ class ClusterServer:
         global host/simulator gap. The result feeds the
         :class:`~repro.obs.drift.RepricingPolicy` hysteresis: factors
         reach :meth:`~repro.cluster.router.LeastWorkRouter
-        .set_calibration` only on a sustained >``reprice_threshold``
+        .set_calibration` only on a sustained >``threshold``
         change, and a transient empty ``drift()`` fan-out keeps the
-        last-good factors (cleared only after ``reprice_empty_clears``
+        last-good factors (cleared only after ``empty_clears``
         consecutive empties). The cadence thread runs this every
         ``reprice_interval_s`` seconds; manual calls are fine too, and
         ``force=True`` bypasses the hysteresis — install exactly what

@@ -18,12 +18,11 @@ import time
 
 import numpy as np
 
-__all__ = ["TokenTelemetry", "latency_stats"]
+__all__ = ["TokenTelemetry", "latency_stats", "percentile"]
 
 
-def _percentile(values, p):
-    """Nearest-rank percentile of a float list (duplicated from
-    serving.metrics to keep :mod:`repro.obs` dependency-free)."""
+def percentile(values, p):
+    """Nearest-rank percentile (p in [0, 100]) of a list of floats."""
     if not len(values):
         return 0.0
     ordered = np.sort(np.asarray(values, dtype=np.float64))
@@ -41,8 +40,8 @@ def latency_stats(seconds):
     return {
         "count": len(values),
         "mean_ms": float(np.mean(values)) * 1e3,
-        "p50_ms": _percentile(values, 50) * 1e3,
-        "p99_ms": _percentile(values, 99) * 1e3,
+        "p50_ms": percentile(values, 50) * 1e3,
+        "p99_ms": percentile(values, 99) * 1e3,
         "max_ms": float(np.max(values)) * 1e3,
     }
 

@@ -16,18 +16,10 @@ from collections import deque
 
 import numpy as np
 
+from ..obs.telemetry import percentile
 from ..sim.engine import SimConfig, simulate_workloads
 
 __all__ = ["CyclePredictor", "MetricsWindow", "ServingMetrics", "percentile"]
-
-
-def percentile(values, p):
-    """Nearest-rank percentile (p in [0, 100]) of a list of floats."""
-    if not len(values):
-        return 0.0
-    ordered = np.sort(np.asarray(values, dtype=np.float64))
-    rank = min(len(ordered) - 1, max(0, int(np.ceil(p / 100.0 * len(ordered))) - 1))
-    return float(ordered[rank])
 
 
 class CyclePredictor:

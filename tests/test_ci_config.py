@@ -8,6 +8,7 @@ tier deselects, the ruff config in pyproject.toml, the benchmark module
 the bench job uploads).
 """
 
+import json
 import pathlib
 
 import pytest
@@ -129,6 +130,21 @@ def test_bench_job_uploads_serving_artifact(workflow):
     assert env["BENCH_SERVING_JSON"] == "BENCH_serving.json"
     assert env["BENCH_TRACE_JSON"] == "BENCH_trace_sample.json"
     assert env["BENCH_PROFILE_TXT"] == "BENCH_profile_collapsed.txt"
+
+
+def test_bench_job_runs_repo_benchmark_end_to_end(workflow):
+    """One --quick run of the BENCHMARK.json harness's single-worker TCP
+    workload: its exit code is the wrong-output / lost-operation /
+    leaked-worker / leaked-shm gate."""
+    command = ("python3 benchmarks/perf/run.py --workload tcp_infer_w1 "
+               "--seed 0 --quick")
+    assert command in _run_lines(workflow["jobs"]["bench"])
+    # Mirrored in the "Local dry-run" comment block.
+    assert "#   " + command in WORKFLOW.read_text()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert command.startswith(" ".join(benchmark["command"]))
+    assert "tcp_infer_w1" in [w["name"] for w in benchmark["workloads"]]
+    assert (ROOT / "benchmarks" / "perf" / "run.py").exists()
 
 
 def test_bench_job_gates_against_committed_baseline(workflow):

@@ -19,6 +19,7 @@ from repro.lutboost.converter import (
     convert_model,
 )
 from repro.models.mlp import mlp
+from repro.obs.metrics import METRICS
 from repro.serving import execute_plan
 
 
@@ -136,3 +137,38 @@ class TestTCPServing:
             header, _ = client._recv()
             assert header["ok"] is False
             assert "unknown op" in header["error"]
+
+    def test_junk_ops_do_not_mint_metric_series(self, served_cluster):
+        """The op label is peer-controlled: 300 distinct unknown ops may
+        add one ``unknown`` series per counter family, not 300."""
+        def op_series(family):
+            return set(METRICS.snapshot()[family]["series"])
+
+        _, host, port = served_cluster
+        with ClusterClient(host, port) as client:
+            scrape_before = len(client.scrape())
+            families = ("repro_tcp_requests_total", "repro_tcp_errors_total")
+            before = {family: op_series(family) for family in families}
+            for i in range(300):
+                client._send({"op": "junk-%d" % i})
+            client._flush()
+            for _ in range(300):
+                header, _ = client._recv()
+                assert header["ok"] is False
+                assert "unknown op 'junk-" in header["error"]
+            for family in families:
+                assert op_series(family) - before[family] <= {"op=unknown"}
+            # The scrape body grows by the two new series, not by 600.
+            assert len(client.scrape()) - scrape_before < 1024
+
+    @pytest.mark.parametrize("op", [["x"], {"a": 1}, None, 5])
+    def test_non_string_op_is_an_ordinary_error_frame(self, served_cluster,
+                                                      op):
+        _, host, port = served_cluster
+        with ClusterClient(host, port) as client:
+            client._send({"op": op})
+            client._flush()
+            header, _ = client._recv()
+            assert header["ok"] is False
+            assert header["error"] == "ProtocolError: unknown op %r" % (op,)
+            assert client.ping()
